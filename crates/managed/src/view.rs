@@ -127,23 +127,25 @@ impl<'a> SystemView<'a> {
 
     /// Reads the instance's config map (`{instance}-config`).
     pub fn config(&self) -> BTreeMap<String, String> {
+        self.config_map().cloned().unwrap_or_default()
+    }
+
+    /// Reads one config entry.
+    pub fn config_value(&self, key: &str) -> Option<String> {
+        self.config_map()?.get(key).cloned()
+    }
+
+    /// Borrows the entries of the instance's config map, if it exists.
+    fn config_map(&self) -> Option<&BTreeMap<String, String>> {
         let key = ObjKey::new(
             Kind::ConfigMap,
             &self.namespace,
             &format!("{}-config", self.instance),
         );
-        match self.cluster.api().get(&key) {
-            Some(obj) => match &obj.data {
-                ObjectData::ConfigMap(c) => c.data.clone(),
-                _ => BTreeMap::new(),
-            },
-            None => BTreeMap::new(),
+        match &self.cluster.api().get(&key)?.data {
+            ObjectData::ConfigMap(c) => Some(&c.data),
+            _ => None,
         }
-    }
-
-    /// Reads one config entry.
-    pub fn config_value(&self, key: &str) -> Option<String> {
-        self.config().get(key).cloned()
     }
 
     /// Marks a pod as crash-looping for a system-semantic reason. The
@@ -242,9 +244,17 @@ mod tests {
                 0,
             )
             .unwrap();
-        let view = SystemView::new(&mut c, "ns", "zk");
-        assert_eq!(view.config_value("a").as_deref(), Some("1"));
-        assert_eq!(view.config_value("b"), None);
+        // A present key, a missing key, and an instance with no config map:
+        // the borrowed read agrees with the cloned map.
+        for (instance, key, expected) in [
+            ("zk", "a", Some("1")),
+            ("zk", "b", None),
+            ("absent", "a", None),
+        ] {
+            let view = SystemView::new(&mut c, "ns", instance);
+            assert_eq!(view.config_value(key).as_deref(), expected);
+            assert_eq!(view.config_value(key), view.config().get(key).cloned());
+        }
     }
 
     #[test]

@@ -448,11 +448,16 @@ pub fn stamp_label_record(
         return;
     }
     let time = cluster.now();
-    let _ = cluster.api_mut().store_mut().update_with(key, time, |o| {
-        o.meta
-            .annotations
-            .insert(annotation.to_string(), rendered.clone());
-    });
+    let _ = cluster.api_mut().store_mut().update_unless(
+        key,
+        time,
+        |o| o.meta.annotations.get(annotation) == Some(&rendered),
+        |o| {
+            o.meta
+                .annotations
+                .insert(annotation.to_string(), rendered.clone());
+        },
+    );
 }
 
 /// Stamps an annotation onto a stateful set (controller-style metadata the
@@ -469,14 +474,16 @@ pub fn stamp_sts_annotation(
         return;
     }
     let time = cluster.now();
-    let _ = cluster
-        .api_mut()
-        .store_mut()
-        .update_with(&sts_key, time, |o| {
+    let _ = cluster.api_mut().store_mut().update_unless(
+        &sts_key,
+        time,
+        |o| o.meta.annotations.get(key).map(String::as_str) == Some(value),
+        |o| {
             o.meta
                 .annotations
                 .insert(key.to_string(), value.to_string());
-        });
+        },
+    );
 }
 
 /// Deletes an object when present (idempotent disable path).
@@ -499,26 +506,32 @@ pub fn write_cr_status(
     let Some(obj) = cluster.api().get(cr_key) else {
         return;
     };
-    let generation = obj.meta.generation;
-    let mut status = obj.data.status_value();
-    status.set_path(
-        &"readyReplicas".parse().expect("path"),
-        Value::from(i64::from(ready_replicas)),
-    );
-    status.set_path(
-        &"phase".parse().expect("path"),
-        Value::from(if ready_replicas >= desired_replicas {
-            "Ready"
-        } else {
-            "Reconciling"
-        }),
-    );
-    status.set_path(
-        &"observedGeneration".parse().expect("path"),
-        Value::from(generation as i64),
-    );
+    let fields = [
+        ("readyReplicas", Value::from(i64::from(ready_replicas))),
+        (
+            "phase",
+            Value::from(if ready_replicas >= desired_replicas {
+                "Ready"
+            } else {
+                "Reconciling"
+            }),
+        ),
+        (
+            "observedGeneration",
+            Value::from(obj.meta.generation as i64),
+        ),
+    ];
     let time = cluster.now();
-    let _ = cluster.api_mut().update_custom_status(cr_key, status, time);
+    let _ = cluster.api_mut().update_custom_status(
+        cr_key,
+        time,
+        |status| fields.iter().all(|(k, v)| status.get(k) == Some(v)),
+        |status| {
+            for (k, v) in &fields {
+                status.set_path(&k.parse().expect("path"), v.clone());
+            }
+        },
+    );
 }
 
 /// Counts ready pods labelled `app={app}` in a namespace.

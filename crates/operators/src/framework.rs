@@ -69,9 +69,10 @@ pub trait Operator: Send {
 
     /// Called when the operator "process" restarts after a crash-point
     /// firing: drop any in-memory state, as a real process death would.
-    /// Operators in this repo are stateless unit structs rebuilt from the
-    /// registry constructor, so the default is a no-op; stateful operators
-    /// must override it.
+    /// Operators in this repo are stateless structs rebuilt from the
+    /// registry constructor (at most holding a pure cache, such as
+    /// ZooKeeperOp's spec-fingerprint memo), so the default is a no-op;
+    /// stateful operators must override it.
     fn restart(&mut self) {}
 }
 
@@ -93,8 +94,9 @@ pub struct CrashEvent {
 /// state around it (restart count, crash-loop generation, last observed
 /// health).
 ///
-/// Operators and managed-system models are stateless unit structs — all of
-/// their observable behaviour is a function of the cluster state — so a
+/// Operators and managed-system models are stateless (an operator holds at
+/// most a pure cache) — all of their observable behaviour is a function of
+/// the cluster state — so a
 /// checkpoint plus a freshly constructed operator/model pair resumes
 /// exactly where the original left off. Campaign partitioning uses this to
 /// hand converged jump-prefix states between workers instead of
@@ -451,24 +453,18 @@ impl Instance {
             return;
         };
         let generation = cr_obj.meta.generation;
-        // Compare against the stored status in place; the status value is
-        // only rendered (and written back) when the health actually moved.
-        let stored_health = cr_obj
-            .data
-            .status_field("systemHealth")
-            .and_then(Value::as_str);
-        if stored_health != Some(health_str.as_str()) {
-            let mut status = cr_obj.data.status_value();
-            status.set_path(
-                &"systemHealth".parse().expect("path"),
-                Value::from(health_str),
-            );
-            let time = self.cluster.now();
-            let _ = self
-                .cluster
-                .api_mut()
-                .update_custom_status(&key, status, time);
-        }
+        let time = self.cluster.now();
+        let _ = self.cluster.api_mut().update_custom_status(
+            &key,
+            time,
+            |status| status.get("systemHealth").and_then(Value::as_str) == Some(&health_str),
+            |status| {
+                status.set_path(
+                    &"systemHealth".parse().expect("path"),
+                    Value::from(health_str.clone()),
+                );
+            },
+        );
         // An injected watch blackout starves the operator of events: no
         // reconcile runs until watches resume.
         if self.cluster.watch_blackout_active() {

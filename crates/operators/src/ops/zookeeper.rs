@@ -28,7 +28,12 @@ use crate::framework::{Operator, OperatorError, INSTANCE, NAMESPACE};
 
 /// The ZooKeeper operator.
 #[derive(Debug, Default)]
-pub struct ZooKeeperOp;
+pub struct ZooKeeperOp {
+    /// The last spec whose fingerprint was computed, with that fingerprint:
+    /// a pure cache, so the operator's behaviour stays a function of the
+    /// cluster state and a fresh or restarted operator acts identically.
+    fingerprint_memo: Option<(Value, u64)>,
+}
 
 impl ZooKeeperOp {
     fn has_failed_pod(cluster: &SimCluster) -> bool {
@@ -50,6 +55,19 @@ impl ZooKeeperOp {
             .is_some()
     }
 
+    /// [`ZooKeeperOp::spec_fingerprint`], rendered and hashed only when the
+    /// spec differs from the one seen last.
+    fn memoized_fingerprint(&mut self, cr: &Value) -> u64 {
+        match &self.fingerprint_memo {
+            Some((spec, fp)) if same_rendering(spec, cr) => *fp,
+            _ => {
+                let fp = Self::spec_fingerprint(cr);
+                self.fingerprint_memo = Some((cr.clone(), fp));
+                fp
+            }
+        }
+    }
+
     /// Deterministic FNV-1a fingerprint of the canonical spec rendering,
     /// naming the per-declaration init marker.
     fn spec_fingerprint(cr: &Value) -> u64 {
@@ -69,11 +87,11 @@ impl ZooKeeperOp {
     /// blindly re-creates the marker, wedges on `AlreadyExists` forever, and
     /// the declared change behind it is never applied.
     fn seeded_init_marker(
-        &self,
+        &mut self,
         cr: &Value,
         cluster: &mut SimCluster,
     ) -> Result<(), OperatorError> {
-        let marker = format!("zk-init-{:016x}", Self::spec_fingerprint(cr));
+        let marker = format!("zk-init-{:016x}", self.memoized_fingerprint(cr));
         let key = ObjKey::new(Kind::ConfigMap, NAMESPACE, &marker);
         let done = cluster
             .api()
@@ -106,6 +124,25 @@ impl ZooKeeperOp {
             )
             .map_err(|e| OperatorError::Transient(format!("init marker stamp: {e}")))?;
         Ok(())
+    }
+}
+
+/// `Value` equality that also tells `0.0` from `-0.0`: the two compare
+/// equal but render differently, so only this equality implies an identical
+/// rendering (and so an identical fingerprint).
+fn same_rendering(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        (Value::Array(x), Value::Array(y)) => {
+            x.len() == y.len() && x.iter().zip(y).all(|(x, y)| same_rendering(x, y))
+        }
+        (Value::Object(x), Value::Object(y)) => {
+            x.len() == y.len()
+                && x.iter()
+                    .zip(y)
+                    .all(|((kx, vx), (ky, vy))| kx == ky && same_rendering(vx, vy))
+        }
+        _ => a == b,
     }
 }
 
@@ -389,10 +426,16 @@ impl Operator for ZooKeeperOp {
         let sts_key = ObjKey::new(Kind::StatefulSet, NAMESPACE, INSTANCE);
         let time = cluster.now();
         let zk4 = bugs.injected("ZK-4");
-        let _ = cluster
-            .api_mut()
-            .store_mut()
-            .update_with(&sts_key, time, |o| {
+        let _ = cluster.api_mut().store_mut().update_unless(
+            &sts_key,
+            time,
+            |o| {
+                o.meta
+                    .annotations
+                    .get("reclaimPolicy")
+                    .is_some_and(|v| zk4 || *v == reclaim)
+            },
+            |o| {
                 let slot = o.meta.annotations.entry("reclaimPolicy".to_string());
                 match slot {
                     std::collections::btree_map::Entry::Vacant(v) => {
@@ -404,7 +447,8 @@ impl Operator for ZooKeeperOp {
                         }
                     }
                 }
-            });
+            },
+        );
 
         // Client service. ZK-3: the domain annotation is only stamped when
         // the service is first created.
@@ -446,7 +490,72 @@ mod tests {
     use simkube::PlatformBugs;
 
     fn deploy(bugs: BugToggles) -> Instance {
-        Instance::deploy(Box::new(ZooKeeperOp), bugs, PlatformBugs::none()).unwrap()
+        Instance::deploy(Box::new(ZooKeeperOp::default()), bugs, PlatformBugs::none()).unwrap()
+    }
+
+    #[test]
+    fn memoized_fingerprint_matches_the_unmemoized_hash() {
+        let mut op = ZooKeeperOp::default();
+        let a = op.initial_cr();
+        let mut b = a.clone();
+        b.set_path(&"replicas".parse().unwrap(), Value::from(5));
+        let mut zero = a.clone();
+        zero.set_path(&"ratio".parse().unwrap(), Value::Float(0.0));
+        let mut neg_zero = a.clone();
+        neg_zero.set_path(&"ratio".parse().unwrap(), Value::Float(-0.0));
+        assert_eq!(zero, neg_zero, "the two zeros compare equal as values");
+        for spec in [&a, &b, &a, &zero, &neg_zero] {
+            assert_eq!(
+                op.memoized_fingerprint(spec),
+                ZooKeeperOp::spec_fingerprint(spec)
+            );
+        }
+        op.restart();
+        assert_eq!(
+            op.memoized_fingerprint(&b),
+            ZooKeeperOp::spec_fingerprint(&b)
+        );
+    }
+
+    #[test]
+    fn init_markers_are_named_by_the_unmemoized_hash() {
+        let marker = |spec: &Value| format!("zk-init-{:016x}", ZooKeeperOp::spec_fingerprint(spec));
+        let mut bugs = BugToggles::all_injected();
+        bugs.seed(SEEDED_NONIDEMPOTENT_CREATE);
+        let mut instance = deploy(bugs.clone());
+        let a = instance.cr_spec();
+        let mut b = a.clone();
+        b.set_path(&"replicas".parse().unwrap(), Value::from(4));
+        let mut c = b.clone();
+        c.set_path(&"replicas".parse().unwrap(), Value::from(5));
+        // A -> B -> A on one operator, then B -> C on an operator rebuilt
+        // from a checkpoint, which starts with an empty memo. A wrong
+        // fingerprint would leave a marker under a name not expected here.
+        for spec in [&b, &a] {
+            instance.submit(spec.clone()).unwrap();
+            assert!(instance.converge(CONVERGE_RESET, CONVERGE_MAX));
+        }
+        let mut rebuilt = Instance::from_checkpoint(
+            Box::new(ZooKeeperOp::default()),
+            bugs,
+            &instance.checkpoint(),
+        );
+        for spec in [&b, &c] {
+            rebuilt.submit(spec.clone()).unwrap();
+            assert!(rebuilt.converge(CONVERGE_RESET, CONVERGE_MAX));
+        }
+        let markers: Vec<String> = rebuilt
+            .cluster
+            .api()
+            .store()
+            .list(&Kind::ConfigMap, NAMESPACE)
+            .iter()
+            .map(|o| o.meta.name.clone())
+            .filter(|n| n.starts_with("zk-init-"))
+            .collect();
+        let mut expected: Vec<String> = [&a, &b, &c].into_iter().map(marker).collect();
+        expected.sort();
+        assert_eq!(markers, expected);
     }
 
     #[test]
@@ -646,7 +755,7 @@ mod tests {
 
     #[test]
     fn whitebox_ir_reveals_storage_type_dependency() {
-        let deps = opdsl::control_dependencies(&ZooKeeperOp.ir());
+        let deps = opdsl::control_dependencies(&ZooKeeperOp::default().ir());
         assert!(deps.iter().any(|d| {
             d.controller.to_string() == "storageType"
                 && d.dependent.to_string() == "ephemeral.emptyDirSize"

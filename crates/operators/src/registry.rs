@@ -155,7 +155,7 @@ pub fn try_operator_by_name(name: &str) -> Option<Box<dyn Operator>> {
         "SAH/RedisOp" => Box::new(ops::redis_sah::RedisSahOp),
         "TiDBOp" => Box::new(ops::tidb::TiDbOp),
         "XtraDBOp" => Box::new(ops::xtradb::XtraDbOp),
-        "ZooKeeperOp" => Box::new(ops::zookeeper::ZooKeeperOp),
+        "ZooKeeperOp" => Box::new(ops::zookeeper::ZooKeeperOp::default()),
         _ => return None,
     })
 }

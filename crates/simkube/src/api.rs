@@ -370,22 +370,34 @@ impl ApiServer {
         result
     }
 
-    /// Writes the status subresource of a custom resource.
+    /// Writes the status subresource of a custom resource: `f` edits the
+    /// stored status in place. The write is skipped before anything is
+    /// copied when `unchanged(current status)` holds, which must imply that
+    /// `f` is a no-op (see [`ObjectStore::update_unless`]).
     pub fn update_custom_status(
         &mut self,
         key: &ObjKey,
-        status: Value,
         time: u64,
+        unchanged: impl FnOnce(&Value) -> bool,
+        f: impl FnOnce(&mut Value),
     ) -> Result<(), ApiError> {
         self.check_pass_alive(|| format!("status {}/{}", key.namespace, key.name))?;
         let rev = self.store.revision();
         let result = self
             .store
-            .update_with(key, time, |obj| {
-                if let ObjectData::Custom { status: s, .. } = &mut obj.data {
-                    *s = status;
-                }
-            })
+            .update_unless(
+                key,
+                time,
+                |obj| match &obj.data {
+                    ObjectData::Custom { status, .. } => unchanged(status),
+                    _ => true,
+                },
+                |obj| {
+                    if let ObjectData::Custom { status, .. } = &mut obj.data {
+                        f(status);
+                    }
+                },
+            )
             .map_err(ApiError::NotFound);
         self.note_operator_write(rev);
         result
@@ -452,7 +464,7 @@ impl ApiServer {
         &mut self,
         key: ObjKey,
         mut meta: ObjectMeta,
-        data: ObjectData,
+        mut data: ObjectData,
         time: u64,
     ) -> Result<ObjKey, ApiError> {
         if self.injected_conflicts > 0 {
@@ -465,16 +477,13 @@ impl ApiServer {
             )));
         }
         self.truncate_annotations(&mut meta);
-        if self.store.get(&key).is_none() {
+        let Some(existing) = self.store.get(&key) else {
             // Already interposed by the caller: a create-through-apply is
             // one upsert, so it must count as one write, not two.
             return self.create_object_inner(meta, data, time);
-        }
+        };
         if !self.bugs.selector_mutation_allowed {
-            let existing = self.store.get(&key).expect("checked above");
-            let old_sel = selector_of(&existing.data);
-            let new_sel = selector_of(&data);
-            if let (Some(old), Some(new)) = (old_sel, new_sel) {
+            if let (Some(old), Some(new)) = (selector_of(&existing.data), selector_of(&data)) {
                 if old != new {
                     return Err(ApiError::Immutable(format!(
                         "{} {}/{} selector",
@@ -485,24 +494,17 @@ impl ApiServer {
                 }
             }
         }
+        preserve_status(&existing.data, &mut data);
+        // Decided here rather than inside `update_unless`, because the write
+        // below consumes the status-preserved payload the check compares.
+        let unchanged = apply_is_noop(existing, &data, &meta);
         self.store
-            .update_with(&key, time, |obj| {
-                let mut data = data;
-                preserve_status(&obj.data, &mut data);
-                obj.data = data;
-                // Merge semantics for identifying metadata: apply adds or
-                // overwrites the keys it names and leaves others (e.g.
-                // controller-stamped annotations) in place.
-                for (k, v) in &meta.labels {
-                    obj.meta.labels.insert(k.clone(), v.clone());
-                }
-                for (k, v) in &meta.annotations {
-                    obj.meta.annotations.insert(k.clone(), v.clone());
-                }
-                if !meta.owner_references.is_empty() {
-                    obj.meta.owner_references = meta.owner_references.clone();
-                }
-            })
+            .update_unless(
+                &key,
+                time,
+                |_| unchanged,
+                |obj| apply_merge(obj, data, &meta),
+            )
             .map_err(ApiError::NotFound)?;
         Ok(key)
     }
@@ -549,6 +551,35 @@ impl ApiServer {
     pub fn events_since(&self, revision: u64) -> &[WatchEvent] {
         self.store.events_since(revision)
     }
+}
+
+/// Writes an apply into the stored object: the (status-preserved) payload
+/// replaces the stored one, and the identifying metadata merges — apply
+/// adds or overwrites the labels and annotations it names, leaves others
+/// (e.g. controller-stamped annotations) in place, and replaces the owner
+/// references only when it names some.
+pub(crate) fn apply_merge(obj: &mut StoredObject, data: ObjectData, meta: &ObjectMeta) {
+    obj.data = data;
+    for (k, v) in &meta.labels {
+        obj.meta.labels.insert(k.clone(), v.clone());
+    }
+    for (k, v) in &meta.annotations {
+        obj.meta.annotations.insert(k.clone(), v.clone());
+    }
+    if !meta.owner_references.is_empty() {
+        obj.meta.owner_references = meta.owner_references.clone();
+    }
+}
+
+/// Whether [`apply_merge`] would leave `cur` unchanged.
+pub(crate) fn apply_is_noop(cur: &StoredObject, data: &ObjectData, meta: &ObjectMeta) -> bool {
+    let all_present = |applied: &BTreeMap<String, String>, stored: &BTreeMap<String, String>| {
+        applied.iter().all(|(k, v)| stored.get(k) == Some(v))
+    };
+    cur.data == *data
+        && all_present(&meta.labels, &cur.meta.labels)
+        && all_present(&meta.annotations, &cur.meta.annotations)
+        && (meta.owner_references.is_empty() || meta.owner_references == cur.meta.owner_references)
 }
 
 /// Copies controller-owned status fields from the stored object into a

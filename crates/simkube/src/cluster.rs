@@ -709,21 +709,11 @@ impl SimCluster {
         }
     }
 
-    /// Returns `true` when the image can be pulled. Images with an explicit
-    /// catalog entry always can; otherwise any syntactically valid
-    /// `repo:tag` reference whose repository is known succeeds.
+    /// Returns `true` when the image can be pulled: only an exact catalog
+    /// entry can be. A bare repository, an empty tag or an unregistered tag
+    /// of a known repository cannot.
     pub fn image_exists(&self, image: &str) -> bool {
-        if self.image_catalog.contains(image) {
-            return true;
-        }
-        // A reference without a tag or with an unknown repository fails.
-        match image.split_once(':') {
-            Some((repo, tag)) if !tag.is_empty() => self
-                .image_catalog
-                .iter()
-                .any(|known| known.split_once(':').map(|(r, _)| r) == Some(repo) && known == image),
-            _ => false,
-        }
+        self.image_catalog.contains(image)
     }
 
     /// Appends a log entry.

@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::meta::ObjectMeta;
 use crate::objects::StoredObject;
 use crate::objects::{
-    ClaimPhase, Kind, ObjectData, PersistentVolumeClaim, PodPhase, UpdateStrategy,
+    ClaimPhase, Deployment, Kind, ObjectData, PersistentVolumeClaim, PodPhase, UpdateStrategy,
 };
 use crate::platform::PlatformBugs;
 use crate::pmap::PMap;
@@ -548,16 +548,27 @@ fn update_sts_status(
             }
         }
     }
-    let _ = store.update_with(key, time, |obj| {
-        if let ObjectData::StatefulSet(s) = &mut obj.data {
-            s.ready_replicas = ready;
-            // PLAT-6: observedGeneration is bumped before the rollout
-            // completes, so watchers believe convergence happened early.
-            if bugs.premature_observed_generation || (ready == replicas && current == replicas) {
-                s.observed_generation = generation;
+    // PLAT-6: observedGeneration is bumped before the rollout completes, so
+    // watchers believe convergence happened early.
+    let observe = bugs.premature_observed_generation || (ready == replicas && current == replicas);
+    let _ = store.update_unless(
+        key,
+        time,
+        |obj| match &obj.data {
+            ObjectData::StatefulSet(s) => {
+                s.ready_replicas == ready && (!observe || s.observed_generation == generation)
             }
-        }
-    });
+            _ => true,
+        },
+        |obj| {
+            if let ObjectData::StatefulSet(s) = &mut obj.data {
+                s.ready_replicas = ready;
+                if observe {
+                    s.observed_generation = generation;
+                }
+            }
+        },
+    );
 }
 
 /// Extracts the ordinal from a pod name of the form `{set}-{ordinal}`.
@@ -661,14 +672,26 @@ pub fn reconcile_deployments(
                 }
             }
         }
-        let _ = store.update_with(&key, time, |obj| {
-            if let ObjectData::Deployment(d) = &mut obj.data {
-                d.ready_replicas = ready;
-                if bugs.premature_observed_generation || ready == d.replicas {
-                    d.observed_generation = generation;
+        let observe = |d: &Deployment| bugs.premature_observed_generation || ready == d.replicas;
+        let _ = store.update_unless(
+            &key,
+            time,
+            |obj| match &obj.data {
+                ObjectData::Deployment(d) => {
+                    d.ready_replicas == ready
+                        && (!observe(d) || d.observed_generation == generation)
                 }
-            }
-        });
+                _ => true,
+            },
+            |obj| {
+                if let ObjectData::Deployment(d) = &mut obj.data {
+                    d.ready_replicas = ready;
+                    if observe(d) {
+                        d.observed_generation = generation;
+                    }
+                }
+            },
+        );
     }
 }
 
@@ -723,11 +746,16 @@ pub fn reconcile_services(store: &mut ObjectStore, time: u64) {
             .map(|o| o.meta.name.clone())
             .collect();
         endpoints.sort();
-        let _ = store.update_with(&key, time, |obj| {
-            if let ObjectData::Service(s) = &mut obj.data {
-                s.endpoints = endpoints;
-            }
-        });
+        let _ = store.update_unless(
+            &key,
+            time,
+            |obj| !matches!(&obj.data, ObjectData::Service(s) if s.endpoints != endpoints),
+            |obj| {
+                if let ObjectData::Service(s) = &mut obj.data {
+                    s.endpoints.clone_from(&endpoints);
+                }
+            },
+        );
     }
 }
 

@@ -859,16 +859,6 @@ impl ObjectData {
             _ => Value::empty_object(),
         }
     }
-
-    /// Borrowed access to one field of a custom object's status, avoiding
-    /// the full [`ObjectData::status_value`] render. `None` for typed
-    /// objects: their rendered statuses carry no free-form fields.
-    pub fn status_field(&self, field: &str) -> Option<&Value> {
-        match self {
-            ObjectData::Custom { status, .. } => status.get(field),
-            _ => None,
-        }
-    }
 }
 
 /// A stored object: metadata plus typed payload.

@@ -265,14 +265,7 @@ impl ObjectStore {
     pub fn update(&mut self, key: &ObjKey, data: ObjectData, time: u64) -> Result<(), String> {
         let resolved = self.resolve_key(key);
         let key = &*resolved;
-        let cur = self.objects.get(key).ok_or_else(|| {
-            format!(
-                "{} {}/{} not found",
-                key.kind.name(),
-                key.namespace,
-                key.name
-            )
-        })?;
+        let cur = self.objects.get(key).ok_or_else(|| not_found(key))?;
         // Cheap structural equality first: an unchanged payload implies an
         // unchanged spec, so the (allocating) spec rendering only runs for
         // actual modifications — and a no-op never copies the tree path.
@@ -297,6 +290,9 @@ impl ObjectStore {
     /// when the closure leaves the object unchanged; in that case the
     /// original shared handle is restored, so a no-op never breaks
     /// `Arc::ptr_eq`-based sharing with snapshots.
+    ///
+    /// This is the reference write path: [`ObjectStore::update_unless`]
+    /// only adds a way to skip it.
     pub fn update_with<F: FnOnce(&mut StoredObject)>(
         &mut self,
         key: &ObjKey,
@@ -304,26 +300,61 @@ impl ObjectStore {
         f: F,
     ) -> Result<(), String> {
         let resolved = self.resolve_key(key);
+        self.write_resolved(&resolved, time, f)
+    }
+
+    /// [`ObjectStore::update_with`], decided against the current object
+    /// before anything is copied: when `unchanged(current)` holds the call
+    /// returns at once, with no path copy, no payload clone and no revision
+    /// bump. `unchanged` must only hold when `f` would be a no-op.
+    ///
+    /// Debug builds check every skip against the reference: they apply `f`
+    /// to a copy of the object and panic with the key if the skipped write
+    /// would have changed it.
+    pub fn update_unless<U, F>(
+        &mut self,
+        key: &ObjKey,
+        time: u64,
+        unchanged: U,
+        f: F,
+    ) -> Result<(), String>
+    where
+        U: FnOnce(&StoredObject) -> bool,
+        F: FnOnce(&mut StoredObject),
+    {
+        let resolved = self.resolve_key(key);
         let key = &*resolved;
-        let next_rv = self.revision + 1;
-        let slot = self.objects.get_mut(key).ok_or_else(|| {
-            format!(
-                "{} {}/{} not found",
+        let cur = self.objects.get(key).ok_or_else(|| not_found(key))?;
+        if !unchanged(cur) {
+            return self.write_resolved(key, time, f);
+        }
+        if cfg!(debug_assertions) {
+            let mut probe = StoredObject::clone(cur);
+            f(&mut probe);
+            assert!(
+                !changed_by_write(cur, &mut probe),
+                "update_unless skipped a write that changes {} {}/{}",
                 key.kind.name(),
                 key.namespace,
                 key.name
-            )
-        })?;
+            );
+        }
+        Ok(())
+    }
+
+    /// The body of [`ObjectStore::update_with`] for an alias-resolved key.
+    fn write_resolved<F: FnOnce(&mut StoredObject)>(
+        &mut self,
+        key: &ObjKey,
+        time: u64,
+        f: F,
+    ) -> Result<(), String> {
+        let next_rv = self.revision + 1;
+        let slot = self.objects.get_mut(key).ok_or_else(|| not_found(key))?;
         let before = Arc::clone(slot);
         let obj = Arc::make_mut(slot);
         f(obj);
-        // Restore store-managed metadata the closure must not forge.
-        obj.meta.uid = before.meta.uid;
-        obj.meta.resource_version = before.meta.resource_version;
-        obj.meta.generation = before.meta.generation;
-        obj.meta.creation_timestamp = before.meta.creation_timestamp;
-        let changed = obj.data != before.data || obj.meta != before.meta;
-        if !changed {
+        if !changed_by_write(&before, obj) {
             // Put the shared handle back: callers comparing by pointer
             // (oracle pruning, sharing stats) must see a no-op as a no-op.
             *slot = before;
@@ -515,6 +546,27 @@ impl ObjectStore {
     }
 }
 
+/// The error for a keyed write to a missing object.
+fn not_found(key: &ObjKey) -> String {
+    format!(
+        "{} {}/{} not found",
+        key.kind.name(),
+        key.namespace,
+        key.name
+    )
+}
+
+/// Restores the store-managed metadata a write closure must not forge
+/// (uid, resource version, generation, creation time) from `before`, then
+/// reports whether the write changed anything else.
+fn changed_by_write(before: &StoredObject, after: &mut StoredObject) -> bool {
+    after.meta.uid = before.meta.uid;
+    after.meta.resource_version = before.meta.resource_version;
+    after.meta.generation = before.meta.generation;
+    after.meta.creation_timestamp = before.meta.creation_timestamp;
+    after.data != before.data || after.meta != before.meta
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -615,6 +667,191 @@ mod tests {
             store.get_shared(&key).unwrap(),
             snap.get_shared(&key).unwrap()
         ));
+    }
+
+    /// Deterministic picker for the generated write sequences.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            items[(self.0 >> 33) as usize % items.len()]
+        }
+    }
+
+    /// One generated write in the shape of a production caller of
+    /// `update_unless`: the pre-check that caller uses, and its mutation.
+    enum Write {
+        /// `ApiServer::apply_object` on a config map.
+        Apply(Box<(ObjectMeta, ObjectData)>),
+        /// A status write of some fields (`write_cr_status`).
+        Status(Vec<(&'static str, crdspec::Value)>),
+        /// An annotation stamp (`stamp_sts_annotation`).
+        Stamp(&'static str, &'static str),
+    }
+
+    impl Write {
+        fn unchanged(&self, cur: &StoredObject) -> bool {
+            match self {
+                Write::Apply(apply) => crate::api::apply_is_noop(cur, &apply.1, &apply.0),
+                Write::Status(fields) => match &cur.data {
+                    ObjectData::Custom { status, .. } => {
+                        fields.iter().all(|(k, v)| status.get(k) == Some(v))
+                    }
+                    _ => true,
+                },
+                Write::Stamp(k, v) => cur.meta.annotations.get(*k).map(String::as_str) == Some(*v),
+            }
+        }
+
+        fn apply(&self, obj: &mut StoredObject) {
+            match self {
+                Write::Apply(apply) => crate::api::apply_merge(obj, apply.1.clone(), &apply.0),
+                Write::Status(fields) => {
+                    if let ObjectData::Custom { status, .. } = &mut obj.data {
+                        for (k, v) in fields {
+                            status.set_path(&k.parse().unwrap(), v.clone());
+                        }
+                    }
+                }
+                Write::Stamp(k, v) => {
+                    obj.meta.annotations.insert(k.to_string(), v.to_string());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn update_unless_matches_the_update_with_reference() {
+        use crdspec::Value;
+        let seeded = || {
+            let mut store = ObjectStore::new();
+            for ns in ["a", "b"] {
+                let (meta, data) = cm("cm");
+                store
+                    .create(
+                        ObjectMeta {
+                            namespace: ns.into(),
+                            ..meta
+                        },
+                        data,
+                        0,
+                    )
+                    .unwrap();
+                let cr = ObjectData::Custom {
+                    kind: "Demo".into(),
+                    spec: Value::empty_object(),
+                    status: Value::empty_object(),
+                };
+                store.create(ObjectMeta::named(ns, "cr"), cr, 0).unwrap();
+            }
+            store
+        };
+        let (mut fast, mut reference) = (seeded(), seeded());
+        let snap = (fast.snapshot(), reference.snapshot());
+        let mut rng = Lcg(7);
+        let (mut noops, mut writes) = (0, 0);
+        for time in 1..3000 {
+            let ns = rng.pick(&["a", "b"]);
+            let write = match rng.pick(&[0, 0, 1, 2]) {
+                0 => {
+                    let mut meta = ObjectMeta::named(ns, "cm");
+                    for (k, v) in
+                        rng.pick(&[&[][..], &[("app", "x")], &[("app", "y"), ("tier", "db")]])
+                    {
+                        meta.labels.insert(k.to_string(), v.to_string());
+                    }
+                    for (k, v) in rng.pick(&[&[][..], &[("note", "a")], &[("note", "b")]]) {
+                        meta.annotations.insert(k.to_string(), v.to_string());
+                    }
+                    if let Some(uid) = rng.pick(&[None, Some(1), Some(2)]) {
+                        meta = meta.with_owner("Demo", "cr", uid);
+                    }
+                    let mut data = ConfigMap::default();
+                    if let Some(v) = rng.pick(&[None, Some("1"), Some("2")]) {
+                        data.data.insert("k".into(), v.into());
+                    }
+                    Write::Apply(Box::new((meta, ObjectData::ConfigMap(data))))
+                }
+                1 => {
+                    let mut fields = vec![("readyReplicas", Value::from(rng.pick(&[1, 2])))];
+                    if rng.pick(&[false, true]) {
+                        fields.push(("phase", Value::from(rng.pick(&["Ready", "Reconciling"]))));
+                    }
+                    Write::Status(fields)
+                }
+                _ => Write::Stamp(rng.pick(&["note", "policy"]), rng.pick(&["a", "b"])),
+            };
+            let name = match write {
+                Write::Status(_) => "cr",
+                Write::Apply(_) => "cm",
+                Write::Stamp(..) => rng.pick(&["cm", "cr"]),
+            };
+            let kind = if name == "cm" {
+                Kind::ConfigMap
+            } else {
+                Kind::Custom("Demo".into())
+            };
+            let key = ObjKey::new(kind, ns, name);
+            let aliased = rng.pick(&[false, false, false, true]);
+            for store in [&mut fast, &mut reference] {
+                if aliased {
+                    store.set_ns_alias("a", "b");
+                } else {
+                    store.clear_ns_alias();
+                }
+            }
+            let before = Arc::clone(fast.get_shared(&key).unwrap());
+            let rev = fast.revision();
+            fast.update_unless(&key, time, |c| write.unchanged(c), |o| write.apply(o))
+                .unwrap();
+            reference
+                .update_with(&key, time, |o| write.apply(o))
+                .unwrap();
+            assert_eq!(fast.revision(), reference.revision(), "write {time}");
+            if fast.revision() == rev {
+                noops += 1;
+                assert!(Arc::ptr_eq(&before, fast.get_shared(&key).unwrap()));
+            } else {
+                writes += 1;
+            }
+        }
+        assert!(
+            noops > 500 && writes > 500,
+            "{noops} no-ops, {writes} writes"
+        );
+        assert_eq!(fast.events_since(0), reference.events_since(0));
+        assert!(fast.iter().eq(reference.iter()));
+        assert_eq!(fast.sharing_stats(), reference.sharing_stats());
+        drop(snap);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "update_unless skipped a write that changes ConfigMap ns/a")]
+    fn wrong_unchanged_predicate_panics_in_debug_builds() {
+        let mut store = ObjectStore::new();
+        let (meta, data) = cm("a");
+        let key = store.create(meta, data, 0).unwrap();
+        let _ = store.update_unless(
+            &key,
+            1,
+            |_| true,
+            |o| {
+                o.meta.annotations.insert("k".into(), "v".into());
+            },
+        );
+    }
+
+    #[test]
+    fn update_unless_reports_a_missing_object() {
+        let mut store = ObjectStore::new();
+        let key = ObjKey::new(Kind::ConfigMap, "ns", "missing");
+        let result = store.update_unless(&key, 1, |_| panic!("no object to check"), |_| {});
+        assert_eq!(result, Err("ConfigMap ns/missing not found".to_string()));
     }
 
     #[test]
